@@ -6,6 +6,8 @@
 //	bench -exp all            # everything (default)
 //	bench -exp table4 -nodes 3000
 //	bench -exp fig11 -seed 7
+//	bench -exp csr            # an A/B experiment: both variants per cell
+//	bench -gate               # every A/B experiment against its baseline
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7 fig7 fig8
 // fig10 fig11 fig12 fig13 resources opcounts perf delta csr vector
@@ -20,6 +22,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"repro/internal/exp"
 	"repro/internal/obs"
@@ -34,18 +37,15 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		workers    = flag.Int("workers", 1, "morsel-parallel probe workers (1 = serial, paper-faithful)")
 		nofusion   = flag.Bool("nofusion", false, "disable fused MV-/MM-join kernels and the index cache (A/B baseline)")
-		nodelta    = flag.Bool("nodelta", false, "disable delta-driven semi-naive evaluation in WITH+ (A/B baseline for the delta experiment)")
-		nocsr      = flag.Bool("nocsr", false, "disable the CSR adjacency access path (A/B baseline for the csr experiment)")
-		novector   = flag.Bool("novector", false, "disable the vectorized batch kernels (A/B baseline for the vector experiment)")
-		nowcoj     = flag.Bool("nowcoj", false, "disable the worst-case-optimal multiway join lowering (A/B baseline for the motif experiment)")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON (perf experiment)")
+		jsonOut    = flag.Bool("json", false, "emit machine-readable records (perf, delta, csr, vector, motif, concurrent)")
+		gate       = flag.Bool("gate", false, "run the A/B experiments (all, or the one -exp names) and check them against the committed BENCH_*.json baselines")
 		observe    = flag.Bool("observe", false, "attach a span sink to every engine (observability overhead A/B)")
 		metrics    = flag.Bool("metrics", false, "dump the process-wide metrics registry as JSON after the run")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
 	)
 	flag.Parse()
-	cfg := exp.Config{Nodes: *nodes, Seed: *seed, Iters: *iters, Workers: *workers, NoFusion: *nofusion, NoDelta: *nodelta, NoCSR: *nocsr, NoVector: *novector, NoWCOJ: *nowcoj, Observe: *observe}
+	cfg := exp.Config{Nodes: *nodes, Seed: *seed, Iters: *iters, Workers: *workers, NoFusion: *nofusion, Observe: *observe}
 	asCSV = *csv
 	asJSON = *jsonOut
 	if *cpuprofile != "" {
@@ -61,7 +61,11 @@ func main() {
 		defer f.Close()
 		defer pprof.StopCPUProfile()
 	}
-	if err := run(strings.ToLower(*which), cfg); err != nil {
+	do := run
+	if *gate {
+		do = runGate
+	}
+	if err := do(strings.ToLower(*which), cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		exit(1)
 	}
@@ -111,18 +115,43 @@ var (
 	asJSON bool
 )
 
-func run(which string, cfg exp.Config) error {
-	show := func(t *exp.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		if asCSV {
-			fmt.Println(t.CSV())
-		} else {
-			fmt.Println(t.String())
-		}
-		return nil
+// step is one experiment the -exp flag can name.
+type step struct {
+	name string
+	f    func() error
+}
+
+func show(t *exp.Table, err error) error {
+	if err != nil {
+		return err
 	}
+	if asCSV {
+		fmt.Println(t.CSV())
+	} else {
+		fmt.Println(t.String())
+	}
+	return nil
+}
+
+// showAB runs an A/B experiment and prints both variants of every cell,
+// as records (-json) or a table.
+func showAB(name string, cfg exp.Config) error {
+	recs, err := exp.Run(name, cfg)
+	if err != nil {
+		return err
+	}
+	if !asJSON {
+		return show(exp.ABTable(name, recs), nil)
+	}
+	s, err := exp.RecordsJSON(recs)
+	if err != nil {
+		return err
+	}
+	fmt.Println(s)
+	return nil
+}
+
+func run(which string, cfg exp.Config) error {
 	showAll := func(ts []*exp.Table, err error) error {
 		if err != nil {
 			return err
@@ -134,17 +163,7 @@ func run(which string, cfg exp.Config) error {
 	}
 	all := which == "all"
 	ran := false
-	step := func(name string, f func() error) error {
-		if !all && which != name {
-			return nil
-		}
-		ran = true
-		return f()
-	}
-	steps := []struct {
-		name string
-		f    func() error
-	}{
+	steps := []step{
 		{"table1", func() error { return show(exp.Table1(), nil) }},
 		{"table2", func() error { return show(exp.Table2(), nil) }},
 		{"table3", func() error { return show(exp.Table3(cfg), nil) }},
@@ -160,104 +179,61 @@ func run(which string, cfg exp.Config) error {
 		{"fig13", func() error { return showAll(exp.TCAndAPSPTables(cfg)) }},
 		{"resources", func() error { return show(exp.ResourceTable(cfg)) }},
 		{"opcounts", func() error { return show(exp.OperatorCountTable(cfg)) }},
-		{"perf", func() error {
-			recs, err := exp.PerfRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.PerfJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.PerfTable(recs), nil)
-		}},
-		{"delta", func() error {
-			recs, err := exp.DeltaRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.DeltaJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.DeltaTable(recs), nil)
-		}},
-		{"csr", func() error {
-			recs, err := exp.CSRRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.CSRJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.CSRTable(recs), nil)
-		}},
-		{"vector", func() error {
-			recs, err := exp.VectorRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.VectorJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.VectorTable(recs), nil)
-		}},
-		{"motif", func() error {
-			recs, err := exp.MotifRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.MotifJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.MotifTable(recs), nil)
-		}},
-		{"concurrent", func() error {
-			recs, err := exp.ConcurrentRecords(cfg)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				s, err := exp.ConcurrentJSON(recs)
-				if err != nil {
-					return err
-				}
-				fmt.Println(s)
-				return nil
-			}
-			return show(exp.ConcurrentTable(recs), nil)
-		}},
+	}
+	for _, name := range exp.ABExperiments() {
+		steps = append(steps, step{name, func() error { return showAB(name, cfg) }})
 	}
 	for _, s := range steps {
-		if err := step(s.name, s.f); err != nil {
+		if !all && which != s.name {
+			continue
+		}
+		ran = true
+		if err := s.f(); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
 		}
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", which)
 	}
+	return nil
+}
+
+// runGate measures the A/B experiments (every one, or just which) and
+// checks each against its gate spec and committed baseline, read from the
+// working directory (the repo root). It reports every experiment before
+// failing.
+func runGate(which string, cfg exp.Config) error {
+	var failed []string
+	ran := false
+	for _, name := range exp.ABExperiments() {
+		if which != "all" && which != name {
+			continue
+		}
+		ran = true
+		base, err := exp.LoadRecords(exp.BaselineFile(name))
+		if err != nil {
+			return fmt.Errorf("gate %s: %w", name, err)
+		}
+		start := time.Now()
+		recs, err := exp.Run(name, cfg)
+		if err != nil {
+			return fmt.Errorf("gate %s: %w", name, err)
+		}
+		summary, fails := exp.Gate(name, recs, base)
+		fmt.Printf("== gate %s (%.0fs): %s\n", name, time.Since(start).Seconds(), summary)
+		for _, f := range fails {
+			fmt.Printf("  FAIL %s\n", f)
+		}
+		if len(fails) > 0 {
+			failed = append(failed, name)
+		}
+	}
+	if !ran {
+		return fmt.Errorf("no gate for experiment %q", which)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("gate failed: %s", strings.Join(failed, ", "))
+	}
+	fmt.Println("gate: OK")
 	return nil
 }

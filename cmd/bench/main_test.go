@@ -41,7 +41,7 @@ func TestRunPerfJSON(t *testing.T) {
 
 func TestPerfRecordsShape(t *testing.T) {
 	cfg := tiny()
-	recs, err := exp.PerfRecords(cfg)
+	recs, err := exp.Run("perf", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +49,17 @@ func TestPerfRecordsShape(t *testing.T) {
 		t.Fatal("no perf records")
 	}
 	for _, r := range recs {
-		if r.Name == "" || r.Profile == "" || r.Dataset == "" {
+		if r.Experiment != "perf" || r.Name == "" || r.Profile == "" || r.Dataset == "" || r.Variant == "" {
 			t.Errorf("incomplete record: %+v", r)
 		}
 		if r.NsOp <= 0 || r.Iterations <= 0 {
 			t.Errorf("non-positive timing/iters: %+v", r)
 		}
-		if !r.Fusion {
+		if r.NoFusion {
 			t.Errorf("default config must run fused: %+v", r)
 		}
 	}
-	s, err := exp.PerfJSON(recs)
+	s, err := exp.RecordsJSON(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestPerfRecordsShape(t *testing.T) {
 	}
 	// The -nofusion baseline must flag itself.
 	cfg.NoFusion = true
-	recs2, err := exp.PerfRecords(cfg)
+	recs2, err := exp.Run("perf", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs2[0].Fusion {
-		t.Error("NoFusion config must emit fusion=false")
+	if !recs2[0].NoFusion {
+		t.Error("NoFusion config must emit nofusion=true")
 	}
 }

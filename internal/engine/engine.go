@@ -663,7 +663,7 @@ func (e *Engine) Join(a, b *catalog.Table, aCols, bCols []int) (out *relation.Re
 	}
 	if sp != nil {
 		sp.LeftRows, sp.RightRows, sp.OutRows = int64(ar.Len()), int64(br.Len()), int64(out.Len())
-		sp.BytesMaterialized = int64(out.Len()) * int64(out.Sch.Arity()) * 16
+		sp.BytesMaterialized = out.Footprint()
 		sp.Dur = time.Since(sp.Start)
 		e.Emit(*sp)
 	}
@@ -671,13 +671,13 @@ func (e *Engine) Join(a, b *catalog.Table, aCols, bCols []int) (out *relation.Re
 }
 
 // ChargeMaterialized counts a join intermediate and charges its estimated
-// footprint to the statement's memory budget (16 bytes per value slot — the
-// Value struct's order of magnitude — so MaxBytes caps runaway
-// intermediates, not exact allocations). The SQL executor calls it after
+// footprint (relation.Footprint: 16 bytes per value slot, so MaxBytes caps
+// runaway intermediates, not exact allocations) to the statement's memory
+// budget. The SQL executor calls it after
 // every join it runs outside the engine's own operator wrappers.
 func (e *Engine) ChargeMaterialized(r *relation.Relation) error {
 	e.Cnt.add(&e.Cnt.TuplesMaterialized, int64(r.Len()))
-	return e.gov.ChargeBytes(int64(r.Len()) * int64(r.Sch.Arity()) * 16)
+	return e.gov.ChargeBytes(r.Footprint())
 }
 
 // MVJoin computes the aggregate-join of a matrix table and a vector table
@@ -1006,7 +1006,7 @@ func (e *Engine) mvJoinWithSpec(ar, cr *relation.Relation, ac ra.MatCols, cc ra.
 		return nil, err
 	}
 	if spec.Span != nil {
-		spec.Span.BytesMaterialized = int64(joined.Len()) * int64(joined.Sch.Arity()) * 16
+		spec.Span.BytesMaterialized = joined.Footprint()
 	}
 	cOff := ar.Sch.Arity()
 	agg := ra.SemiringAgg(schema.Column{Name: "vw"}, sr, func(t relation.Tuple) (value.Value, error) {
@@ -1036,7 +1036,7 @@ func (e *Engine) mmJoinWithSpec(ar, br *relation.Relation, ac, bc ra.MatCols, aJ
 		return nil, err
 	}
 	if spec.Span != nil {
-		spec.Span.BytesMaterialized = int64(joined.Len()) * int64(joined.Sch.Arity()) * 16
+		spec.Span.BytesMaterialized = joined.Footprint()
 	}
 	bOff := ar.Sch.Arity()
 	agg := ra.SemiringAgg(schema.Column{Name: "ew"}, sr, func(t relation.Tuple) (value.Value, error) {

@@ -1,8 +1,8 @@
-// Checksum helpers shared by the experiment records and the bench gates.
+// Checksum helpers shared by the experiment records and the bench gate.
 // The csr, vector, motif, and concurrent experiments all pin result
 // checksums in their committed baselines; one definition here keeps the
-// scheme from drifting between them (scripts/bench_guard.sh compares these
-// strings byte-for-byte across on/off runs).
+// scheme from drifting between them (Gate compares these strings
+// byte-for-byte across variants and against the baselines).
 package exp
 
 import (

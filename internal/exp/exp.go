@@ -73,29 +73,9 @@ type Config struct {
 	// index cache, restoring the materialize-then-aggregate executor for
 	// A/B comparisons. cmd/bench exposes it as -nofusion.
 	NoFusion bool
-	// NoDelta disables delta-driven semi-naive evaluation in the WITH+
-	// compiler: recursive branches re-read the full recursive relation each
-	// iteration (the naive loop). cmd/bench exposes it as -nodelta, the A/B
-	// baseline for the delta experiment.
-	NoDelta bool
-	// NoCSR disables the CSR adjacency access path: joins keep the cached
-	// hash index. cmd/bench exposes it as -nocsr, the A/B baseline for the
-	// csr experiment; results are byte-identical either way.
-	NoCSR bool
-	// NoVector disables the vectorized batch kernels in the SQL executor:
-	// filters, projections, and group-bys run the row-at-a-time closure
-	// trees. cmd/bench exposes it as -novector, the A/B baseline for the
-	// vector experiment; results are byte-identical either way.
-	NoVector bool
-	// NoWCOJ disables lowering cyclic equi-join cores to the multiway
-	// generic join: cyclic patterns run the binary hash-join chain.
-	// cmd/bench exposes it as -nowcoj, the A/B baseline for the motif
-	// experiment; results are byte-identical either way.
-	NoWCOJ bool
-	// Observe attaches a counting span sink to every experiment engine, so
-	// the observability hooks' overhead can be measured against an
-	// unobserved run of the same experiment. cmd/bench exposes it as
-	// -observe.
+	// Observe attaches a counting span sink to every experiment engine.
+	// cmd/bench exposes it as -observe; the perf experiment measures the
+	// observer's overhead itself, as its on variant.
 	Observe bool
 }
 
@@ -123,10 +103,6 @@ func newEngine(prof engine.Profile, cfg Config) *engine.Engine {
 	e := engine.New(prof)
 	e.Parallelism = cfg.Workers
 	e.DisableFusion = cfg.NoFusion
-	e.DisableDelta = cfg.NoDelta
-	e.DisableCSR = cfg.NoCSR
-	e.DisableVectorized = cfg.NoVector
-	e.DisableWCOJ = cfg.NoWCOJ
 	if cfg.Observe {
 		e.SetObserver(&obs.CountingSink{})
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -9,37 +8,27 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
-// PerfRecord is one machine-readable benchmark measurement, emitted by
-// cmd/bench -exp perf -json. The counter fields expose the iteration-aware
-// executor's behavior: with fusion on, IndexBuilds stays O(1) per base table
-// and TuplesMaterialized drops to zero on the MV-/MM-join path; with
-// -nofusion the legacy executor's per-iteration rebuild and materialization
-// costs show up directly. Committed BENCH_*.json files pair a -nofusion run
-// (before) with a default run (after).
-type PerfRecord struct {
-	Name               string  `json:"name"`
-	Dataset            string  `json:"dataset"`
-	Profile            string  `json:"profile"`
-	Workers            int     `json:"workers"`
-	Fusion             bool    `json:"fusion"`
-	Iterations         int     `json:"iterations"`
-	NsOp               int64   `json:"ns_op"`
-	Millis             float64 `json:"ms"`
-	Joins              int64   `json:"joins"`
-	GroupBys           int64   `json:"group_bys"`
-	IndexBuilds        int64   `json:"index_builds"`
-	IndexCacheHits     int64   `json:"index_cache_hits"`
-	CSRBuilds          int64   `json:"csr_builds"`
-	CSRCacheHits       int64   `json:"csr_cache_hits"`
-	TuplesMaterialized int64   `json:"tuples_materialized"`
-	// Observed and Spans report the observability A/B: with -observe a
-	// counting sink is attached and Spans counts what it saw. Both are
-	// omitted from JSON on unobserved runs, keeping the default output
-	// byte-compatible with committed BENCH_*.json baselines.
-	Observed bool  `json:"observed,omitempty"`
-	Spans    int64 `json:"spans,omitempty"`
+// perfExp measures the iterative algorithms on the Web Google stand-in
+// across the three profiles, with and without a counting span sink: the
+// observability overhead A/B. The counters expose the iteration-aware
+// executor: with fusion on, IndexBuilds stays O(1) per base table and
+// TuplesMaterialized drops to zero on the MV-/MM-join path; with -nofusion
+// the per-iteration rebuild and materialization costs show up directly.
+// The committed BENCH_before.json (-nofusion) and BENCH_after.json
+// (default) hold the unobserved variant of each executor.
+var perfExp = experiment{
+	title: "Perf: iterative algorithms under the iteration-aware executor",
+	// Three repetitions filter scheduler and cache noise out of the
+	// single-shot wall-clock times.
+	reps: 3,
+	variants: []variant{
+		{"off", nil},
+		{"on", func(e *engine.Engine) { e.SetObserver(&obs.CountingSink{}) }},
+	},
+	cells: perfCells,
 }
 
 // perfAlgos are the iterative algorithms measured by the perf experiment:
@@ -47,115 +36,32 @@ type PerfRecord struct {
 // (WCC), together covering the executor paths the fused kernels replace.
 var perfAlgos = []string{"PR", "HITS", "WCC"}
 
-// perfReps is the number of timed repetitions per (algorithm, profile)
-// cell; the record keeps the minimum, which filters scheduler and cache
-// noise out of single-shot wall-clock times. Counters are taken from the
-// first repetition — they are deterministic per run.
-const perfReps = 3
-
-// PerfRecords measures the perf experiment: the named iterative algorithms
-// on the Web Google stand-in, across the three profiles, under the config's
-// executor knobs. One record per (algorithm, profile).
-func PerfRecords(cfg Config) ([]PerfRecord, error) {
+func perfCells(cfg Config) ([]cell, error) {
 	cfg = cfg.defaults()
 	d, err := dataset.ByCode("WG")
 	if err != nil {
 		return nil, err
 	}
 	g := d.Generate(cfg.Nodes, cfg.Seed)
-	byCode := map[string]algos.Algorithm{}
-	for _, a := range algos.Registry() {
-		byCode[a.Code] = a
-	}
-	var out []PerfRecord
+	var ws []workload
 	for _, code := range perfAlgos {
-		a, ok := byCode[code]
-		if !ok {
-			return nil, fmt.Errorf("perf: unknown algorithm %q", code)
+		a, err := algos.ByCode(code)
+		if err != nil {
+			return nil, fmt.Errorf("perf: %w", err)
 		}
-		for _, prof := range profiles() {
-			var (
-				e       *engine.Engine
-				res     *algos.Result
-				elapsed time.Duration
-				spans   int64
-			)
-			for rep := 0; rep < perfReps; rep++ {
-				re := newEngine(prof, cfg)
-				var cs *obs.CountingSink
-				if cfg.Observe {
-					cs = &obs.CountingSink{}
-					re.SetObserver(cs)
-				}
+		ws = append(ws, workload{
+			id: Record{Name: code, Dataset: d.Code, Nodes: g.N, Edges: g.M()},
+			run: func(e *engine.Engine, r *Record) (*relation.Relation, time.Duration, error) {
 				start := time.Now()
-				rres, err := a.Run(re, g, algoParams("WG", cfg))
+				res, err := a.Run(e, g, algoParams("WG", cfg))
 				if err != nil {
-					return nil, fmt.Errorf("perf: %s on %s: %w", code, prof.Name, err)
+					return nil, 0, err
 				}
-				d := time.Since(start)
-				obs.Global.Counter("bench.runs").Inc()
-				obs.Global.Histogram("bench.run_us").Observe(d.Microseconds())
-				if rep == 0 {
-					e, res = re, rres
-					if cs != nil {
-						spans = cs.Count()
-					}
-				}
-				if rep == 0 || d < elapsed {
-					elapsed = d
-				}
-			}
-			out = append(out, PerfRecord{
-				Name:               code,
-				Dataset:            d.Code,
-				Profile:            prof.Name,
-				Workers:            cfg.Workers,
-				Fusion:             !cfg.NoFusion,
-				Iterations:         res.Iterations,
-				NsOp:               elapsed.Nanoseconds(),
-				Millis:             float64(elapsed.Microseconds()) / 1000.0,
-				Joins:              e.Cnt.Joins,
-				GroupBys:           e.Cnt.GroupBys,
-				IndexBuilds:        e.Cnt.IndexBuilds,
-				IndexCacheHits:     e.Cnt.IndexCacheHits,
-				CSRBuilds:          e.Cnt.CSRBuilds,
-				CSRCacheHits:       e.Cnt.CSRCacheHits,
-				TuplesMaterialized: e.Cnt.TuplesMaterialized,
-				Observed:           cfg.Observe,
-				Spans:              spans,
-			})
-		}
-	}
-	return out, nil
-}
-
-// PerfJSON renders the records as indented JSON (the -json output format).
-func PerfJSON(recs []PerfRecord) (string, error) {
-	b, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// PerfTable renders the records as a Table for the default text output.
-func PerfTable(recs []PerfRecord) *Table {
-	t := &Table{
-		Title: "Perf: iterative algorithms under the iteration-aware executor",
-		Header: []string{
-			"Algorithm", "Profile", "workers", "fusion", "iters", "time (ms)",
-			"joins", "aggs", "idx builds", "idx hits", "tuples mat",
-		},
-	}
-	for _, r := range recs {
-		t.Rows = append(t.Rows, []string{
-			r.Name, r.Profile,
-			fmt.Sprintf("%d", r.Workers), fmt.Sprintf("%v", r.Fusion),
-			fmt.Sprintf("%d", r.Iterations), fmt.Sprintf("%.1f", r.Millis),
-			fmt.Sprintf("%d", r.Joins), fmt.Sprintf("%d", r.GroupBys),
-			fmt.Sprintf("%d", r.IndexBuilds), fmt.Sprintf("%d", r.IndexCacheHits),
-			fmt.Sprintf("%d", r.TuplesMaterialized),
+				elapsed := time.Since(start)
+				r.Iterations = res.Iterations
+				return res.Rel, elapsed, nil
+			},
 		})
 	}
-	return t
+	return crossProfiles(cfg, ws, profiles()), nil
 }

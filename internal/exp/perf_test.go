@@ -5,46 +5,49 @@ import (
 	"testing"
 )
 
-// TestPerfRecordsObserveAB checks the observability A/B contract: an
-// observed run reports the spans the counting sink saw, while an
-// unobserved run's JSON omits the observed/spans fields entirely — so the
-// default output stays byte-compatible with committed BENCH_*.json files.
+// TestPerfRecordsObserveAB checks the observability A/B contract: the
+// observer-on variant reports the spans its counting sink saw, while the
+// observer-off variant's JSON omits the spans field entirely, keeping it
+// byte-compatible with the committed BENCH_after.json.
 func TestPerfRecordsObserveAB(t *testing.T) {
-	small := Config{Nodes: 120, Seed: 1, Iters: 3}
-
-	off, err := PerfRecords(small)
+	recs, err := Run("perf", Config{Nodes: 120, Seed: 1, Iters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	offJSON, err := PerfJSON(off)
+	var off, on []Record
+	for _, r := range recs {
+		switch r.Variant {
+		case "off":
+			off = append(off, r)
+		case "on":
+			on = append(on, r)
+		default:
+			t.Errorf("%s: unexpected variant %q", r.cellKey(), r.Variant)
+		}
+	}
+	if len(on) != len(off) || len(on) == 0 {
+		t.Fatalf("record counts differ: %d on vs %d off", len(on), len(off))
+	}
+	offJSON, err := RecordsJSON(off)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(offJSON, "observed") || strings.Contains(offJSON, "spans") {
+	if strings.Contains(offJSON, "spans") {
 		t.Errorf("unobserved JSON leaked observer fields:\n%s", offJSON)
 	}
-
-	small.Observe = true
-	on, err := PerfRecords(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(on) != len(off) {
-		t.Fatalf("record counts differ: %d vs %d", len(on), len(off))
-	}
-	for _, r := range on {
-		if !r.Observed {
-			t.Errorf("%s/%s not marked observed", r.Name, r.Profile)
-		}
+	for i, r := range on {
 		if r.Spans <= 0 {
-			t.Errorf("%s/%s observed run saw no spans", r.Name, r.Profile)
+			t.Errorf("%s: observed run saw no spans", r.cellKey())
+		}
+		if r.cellKey() != off[i].cellKey() {
+			t.Errorf("variants of a cell not adjacent: %s vs %s", r.cellKey(), off[i].cellKey())
 		}
 	}
-	onJSON, err := PerfJSON(on)
+	onJSON, err := RecordsJSON(on)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(onJSON, `"observed": true`) {
+	if !strings.Contains(onJSON, `"variant": "on"`) || !strings.Contains(onJSON, `"spans"`) {
 		t.Errorf("observed JSON missing marker:\n%s", onJSON)
 	}
 }

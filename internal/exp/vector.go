@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"time"
@@ -14,34 +13,24 @@ import (
 	"repro/internal/withplus"
 )
 
-// VectorRecord is one measurement of the vector experiment, emitted by
-// cmd/bench -exp vector -json. The experiment runs the scan-heavy SQL
-// shapes the vectorized kernels target — residual filters, computed
-// projections, integer-keyed aggregation, and a WITH+ recursion whose
-// recursive step carries a non-equi residual filter — with the batch
-// kernels on (default) and off (-novector). Committed
-// BENCH_vector_on.json/BENCH_vector_off.json pair the two;
-// scripts/bench_guard.sh gates on the speedup, on checksum identity (the
-// vectorized path must be byte-identical to the row path), and on the
-// VectorizedBatches counter proving which path actually ran.
-type VectorRecord struct {
-	Name              string  `json:"name"`
-	Profile           string  `json:"profile"`
-	Nodes             int     `json:"nodes"`
-	Edges             int     `json:"edges"`
-	Vector            bool    `json:"vector"`
-	Queries           int     `json:"queries"`
-	NsOp              int64   `json:"ns_op"`
-	Millis            float64 `json:"ms"`
-	RowsFinal         int     `json:"rows_final"`
-	Checksum          string  `json:"checksum"`
-	VectorizedBatches int64   `json:"vectorized_batches"`
-	RowFallbacks      int64   `json:"row_fallbacks"`
+// vectorExp measures the scan-heavy SQL shapes the vectorized kernels
+// target (residual filters, computed projections, integer-keyed
+// aggregation, and a WITH+ recursion whose recursive step carries a
+// non-equi residual filter) with the batch kernels on and off. The gate
+// wants the speedup, identical checksums (the vectorized path must be
+// byte-identical to the row path), and the VectorizedBatches counter
+// proving which path ran. The committed baseline is BENCH_vector.json.
+var vectorExp = experiment{
+	title: "Vectorized execution: batch kernels vs row-at-a-time closures",
+	// Five repetitions; the record keeps the least-disturbed one.
+	reps:     5,
+	variants: onOff(func(e *engine.Engine) { e.DisableVectorized = true }),
+	cells:    vectorCells,
 }
 
-// vectorWorkload is one scan-heavy benchmark: a plain SELECT executed
+// vectorQuery is one scan-heavy benchmark: a plain SELECT executed
 // queries times per repetition, or a WITH+ recursion executed once.
-type vectorWorkload struct {
+type vectorQuery struct {
 	name    string
 	query   string
 	with    bool // run through the WITH+ compiler instead of plain SELECT
@@ -62,11 +51,6 @@ func vectorNodes(cfg Config) int {
 // dominate.
 const vectorAvgDegree = 16
 
-// vectorReps is the number of timed repetitions per cell; the record keeps
-// the minimum (the least-disturbed repetition). Counters and checksums come
-// from the first repetition.
-const vectorReps = 5
-
 // vectorEdgeRelation builds E(F, T, ew) from the generated graph with
 // deterministic pseudo-random weights in [0, 1) — the generator's constant
 // 1.0 weights would make every float filter all-or-nothing.
@@ -81,8 +65,8 @@ func vectorEdgeRelation(g *graph.Graph, seed int64) *relation.Relation {
 	return r
 }
 
-func vectorWorkloads() []vectorWorkload {
-	return []vectorWorkload{
+func vectorQueries() []vectorQuery {
+	return []vectorQuery{
 		// Residual WHERE: one typed column⋈constant kernel and one
 		// column⋈column kernel composed by selection-vector refinement.
 		{name: "FILTER", queries: 8,
@@ -105,9 +89,9 @@ select ID from R`},
 	}
 }
 
-// runVectorWorkload loads the data and executes the workload's timed loop,
+// runVectorQuery loads the data and executes the workload's timed loop,
 // returning the final relation and total duration.
-func runVectorWorkload(e *engine.Engine, w vectorWorkload, edges, nodes *relation.Relation) (*relation.Relation, time.Duration, error) {
+func runVectorQuery(e *engine.Engine, w vectorQuery, edges, nodes *relation.Relation) (*relation.Relation, time.Duration, error) {
 	if _, err := e.LoadBase("E", edges); err != nil {
 		return nil, 0, err
 	}
@@ -139,10 +123,7 @@ func runVectorWorkload(e *engine.Engine, w vectorWorkload, edges, nodes *relatio
 	return res, time.Since(start), nil
 }
 
-// VectorRecords measures the vector experiment: each scan-heavy workload on
-// every profile, under the config's executor knobs (cfg.NoVector selects
-// the row-path baseline). One record per (workload, profile).
-func VectorRecords(cfg Config) ([]VectorRecord, error) {
+func vectorCells(cfg Config) ([]cell, error) {
 	cfg = cfg.defaults()
 	n := vectorNodes(cfg)
 	g := graph.Generate(graph.GenSpec{
@@ -150,72 +131,14 @@ func VectorRecords(cfg Config) ([]VectorRecord, error) {
 	})
 	edges := vectorEdgeRelation(g, cfg.Seed)
 	nodes := g.NodeRelation(nil)
-	var out []VectorRecord
-	for _, w := range vectorWorkloads() {
-		for _, prof := range profiles() {
-			var (
-				e       *engine.Engine
-				rel     *relation.Relation
-				elapsed time.Duration
-			)
-			for rep := 0; rep < vectorReps; rep++ {
-				re := newEngine(prof, cfg)
-				r, d, err := runVectorWorkload(re, w, edges, nodes)
-				if err != nil {
-					return nil, fmt.Errorf("vector: %s on %s: %w", w.name, prof.Name, err)
-				}
-				if rep == 0 {
-					e, rel = re, r
-				}
-				if rep == 0 || d < elapsed {
-					elapsed = d
-				}
-			}
-			out = append(out, VectorRecord{
-				Name:              w.name,
-				Profile:           prof.Name,
-				Nodes:             g.N,
-				Edges:             g.M(),
-				Vector:            !cfg.NoVector,
-				Queries:           w.queries,
-				NsOp:              elapsed.Nanoseconds() / int64(w.queries),
-				Millis:            float64(elapsed.Microseconds()) / 1000.0,
-				RowsFinal:         rel.Len(),
-				Checksum:          RelChecksum(rel),
-				VectorizedBatches: e.Cnt.VectorizedBatches,
-				RowFallbacks:      e.Cnt.RowFallbacks,
-			})
-		}
-	}
-	return out, nil
-}
-
-// VectorJSON renders the records as indented JSON (the -json output format).
-func VectorJSON(recs []VectorRecord) (string, error) {
-	b, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// VectorTable renders the records as a Table for the default text output.
-func VectorTable(recs []VectorRecord) *Table {
-	t := &Table{
-		Title: "Vectorized execution: batch kernels vs row-at-a-time closures",
-		Header: []string{
-			"Workload", "Profile", "vector", "queries", "time (ms)", "ns/query",
-			"|R| final", "checksum", "batches", "row fallbacks",
-		},
-	}
-	for _, r := range recs {
-		t.Rows = append(t.Rows, []string{
-			r.Name, r.Profile, fmt.Sprintf("%v", r.Vector),
-			fmt.Sprintf("%d", r.Queries), fmt.Sprintf("%.1f", r.Millis),
-			fmt.Sprintf("%d", r.NsOp), fmt.Sprintf("%d", r.RowsFinal),
-			r.Checksum, fmt.Sprintf("%d", r.VectorizedBatches),
-			fmt.Sprintf("%d", r.RowFallbacks),
+	var ws []workload
+	for _, q := range vectorQueries() {
+		ws = append(ws, workload{
+			id: Record{Name: q.name, Nodes: g.N, Edges: g.M(), Queries: q.queries},
+			run: func(e *engine.Engine, r *Record) (*relation.Relation, time.Duration, error) {
+				return runVectorQuery(e, q, edges, nodes)
+			},
 		})
 	}
-	return t
+	return crossProfiles(cfg, ws, profiles()), nil
 }

@@ -56,7 +56,7 @@ func loadGraphTables(eng *engine.Engine, g *graph.Graph) error {
 }
 
 // runGoverned executes a WITH+ statement under a statement governor the way
-// graphsql.QueryContext does: aborts become errors at this boundary.
+// graphsql.DB.Query does: aborts become errors at this boundary.
 func runGoverned(ctx context.Context, eng *engine.Engine, src string) (out *relation.Relation, err error) {
 	defer govern.RecoverTo(&err)
 	end := eng.BeginStatement(ctx)

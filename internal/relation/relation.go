@@ -105,6 +105,12 @@ func NewWithCap(s schema.Schema, n int) *Relation {
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
 
+// Footprint estimates the relation's in-memory size as 16 bytes per value
+// slot (the Value struct's order of magnitude), ignoring string payloads:
+// the figure the governor charges for intermediates and spans report as
+// bytes materialized.
+func (r *Relation) Footprint() int64 { return int64(r.Len()) * int64(r.Sch.Arity()) * 16 }
+
 // Append adds a tuple; the relation takes ownership of t.
 func (r *Relation) Append(t Tuple) {
 	if len(t) != r.Sch.Arity() {

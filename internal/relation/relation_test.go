@@ -223,3 +223,18 @@ func TestSortedIndexStability(t *testing.T) {
 		}
 	}
 }
+
+// TestFootprint pins the governor's intermediate estimate: 16 bytes per
+// value slot, string payloads not counted.
+func TestFootprint(t *testing.T) {
+	r := New(intSchema("a", "b"))
+	if got := r.Footprint(); got != 0 {
+		t.Errorf("empty footprint = %d", got)
+	}
+	r.AppendVals(value.Int(1), value.Int(2))
+	r.AppendVals(value.Int(3), value.Str("a long string payload"))
+	r.AppendVals(value.Int(5), value.Int(6))
+	if got := r.Footprint(); got != 3*2*16 {
+		t.Errorf("footprint = %d, want %d", got, 3*2*16)
+	}
+}

@@ -324,7 +324,7 @@ func (x *Exec) runOne(s *SelectStmt) (*relation.Relation, *obs.PlanNode, error) 
 			x.Eng.CountWCOJ(stats.Builds, stats.Probes)
 			if observing {
 				sp := obs.Span{Op: "join", Algo: "wcoj", Note: "sql multiway generic join", Start: t0, OutRows: int64(input.Len()), Dur: time.Since(t0)}
-				sp.BytesMaterialized = int64(input.Len()) * int64(input.Sch.Arity()) * 16
+				sp.BytesMaterialized = input.Footprint()
 				x.Eng.Emit(sp)
 			}
 			if x.analyze {
@@ -427,7 +427,7 @@ func (x *Exec) runOne(s *SelectStmt) (*relation.Relation, *obs.PlanNode, error) 
 				x.Eng.CountJoin()
 				if sp != nil {
 					sp.LeftRows, sp.RightRows, sp.OutRows = leftRows, int64(next.rel.Len()), int64(input.Len())
-					sp.BytesMaterialized = int64(input.Len()) * int64(input.Sch.Arity()) * 16
+					sp.BytesMaterialized = input.Footprint()
 					sp.Dur = time.Since(t0)
 					x.Eng.Emit(*sp)
 				}
@@ -772,7 +772,7 @@ func (x *Exec) runAggregate(s *SelectStmt, input *relation.Relation) (*relation.
 				grouped = g
 				pathNote = vecPathNote(vfb)
 				x.Eng.CountVectorizedBatch(vfb)
-				if err := x.Eng.Gov().ChargeBytes(int64(g.Len()) * int64(g.Sch.Arity()) * 16); err != nil {
+				if err := x.Eng.Gov().ChargeBytes(g.Footprint()); err != nil {
 					return nil, "", err
 				}
 			}

@@ -273,7 +273,7 @@ func (x *Exec) projectVecOuts(rel *relation.Relation, outs []ra.VecOutCol, fellB
 		return nil, err
 	}
 	x.Eng.CountVectorizedBatch(fellBack)
-	if err := x.Eng.Gov().ChargeBytes(int64(out.Len()) * int64(out.Sch.Arity()) * 16); err != nil {
+	if err := x.Eng.Gov().ChargeBytes(out.Footprint()); err != nil {
 		return nil, err
 	}
 	return out, nil

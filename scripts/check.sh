@@ -3,7 +3,7 @@
 #   go vet over everything, the full test suite, a race-detector pass over
 #   the packages with parallel or concurrently-observed executor paths
 #   (ra, engine, graphsql), an API-hygiene grep gate, and the chaos and
-#   bench-overhead gates.
+#   bench gates.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -11,26 +11,13 @@ echo "== go vet ./..."
 go vet ./...
 
 echo "== api hygiene (no deprecated session API outside graphsql)"
-# The context-first graphsql API replaced these; only graphsql itself
-# (deprecated.go + its tests) may still mention them. QueryContext is not
+# The context-first graphsql API replaced these. QueryContext is not
 # gated: database/sql legitimately defines it for driver conformance.
 if grep -rn 'QueryWithTrace\|RunContext\|\.Eng\b' \
-    cmd examples graphsql/driver 2>/dev/null \
-    | grep -v '_test.go.*deprecated'; then
+    cmd examples graphsql/driver 2>/dev/null; then
   echo "check: deprecated graphsql API (QueryWithTrace/RunContext/.Eng) used outside graphsql/" >&2
   exit 1
 fi
-# The deprecated wrappers themselves live behind the graphsql_compat build
-# tag; any mention in graphsql outside the tagged files is a regression.
-if grep -rln 'QueryWithTrace\|RunContext' graphsql/*.go 2>/dev/null \
-    | while read -r f; do
-        head -1 "$f" | grep -q 'go:build graphsql_compat' || echo "$f"
-      done | grep .; then
-  echo "check: deprecated wrappers outside the graphsql_compat build tag" >&2
-  exit 1
-fi
-# The compat surface must still compile when the tag is on.
-go vet -tags graphsql_compat ./graphsql
 
 echo "== go test ./..."
 go test ./...
@@ -54,16 +41,16 @@ go test ./internal/sql -run 'VecRowStatementParity|VecCompileAggs' -count=1
 go test ./internal/algos -run 'VectorVsRow' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzVectorVsRow -fuzztime 5s
 go test ./internal/ra -run=NONE -bench 'BenchmarkSelectVectorized|BenchmarkGroupByVectorized' -benchtime 1x
-# One end-to-end run of the experiment CLI; the full on/off A/B with
-# checksum and speedup gating happens in bench_guard.sh below.
+# One end-to-end run of the experiment CLI (both variants); checksum and
+# speedup gating happens in the bench gate below.
 go run ./cmd/bench -exp vector > /dev/null
 
 echo "== wcoj smoke (multiway vs binary differentials + chooser + operator)"
 go test ./internal/ra -run 'WCOJ' -count=1
 go test ./internal/sql -run 'WCOJDifferential|WCOJExplainAnalyze|ChooseWCOJ' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzWCOJVsBinary -fuzztime 5s
-# One end-to-end run of the experiment CLI; the full on/off A/B with
-# count, checksum, and speedup gating happens in bench_guard.sh below.
+# One end-to-end run of the experiment CLI (both variants); count,
+# checksum, and speedup gating happens in the bench gate below.
 go run ./cmd/bench -exp motif > /dev/null
 
 echo "== server protocol fuzz smoke"
@@ -76,7 +63,7 @@ go test ./internal/sql -run=NONE -fuzz FuzzMatchParser -fuzztime 5s
 echo "== chaos gate (fault sweep, recovery, cancellation, fuzz smoke)"
 ./scripts/chaos.sh
 
-echo "== bench guard (perf baseline + observability overhead + delta/csr/vector/motif A/B)"
-./scripts/bench_guard.sh
+echo "== bench gate (perf baseline + observability overhead + delta/csr/vector/motif/concurrent A/B)"
+go run ./cmd/bench -gate
 
 echo "check: OK"
