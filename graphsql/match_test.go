@@ -214,10 +214,11 @@ func TestMatchExplainAnalyze(t *testing.T) {
 }
 
 // TestMatchExplainAnalyzeGolden pins the full EXPLAIN ANALYZE report for
-// one fixed-length and one variable-length MATCH on the oracle profile:
+// fixed-length, anchored and variable-length MATCH on the oracle profile:
 // the fixed pattern must read as a plain join tree over the edge table,
-// the variable-length one as the recursive procedure with Δ-frontier
-// scans and the CSR-backed frontier-extension join.
+// the anchored one as the same tree with the anchor's filter directly above
+// its edge scan, the variable-length one as the recursive procedure with
+// Δ-frontier scans and the CSR-backed frontier-extension join.
 func TestMatchExplainAnalyzeGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, query string
@@ -225,6 +226,10 @@ func TestMatchExplainAnalyzeGolden(t *testing.T) {
 		{"match_fixed", `select * from graph_table(pg
 			match (a)-[e1]->(b)-[e2]->(c)
 			columns (a.ID aid, c.ID cid))`},
+		{"match_anchored", `select * from graph_table(pg
+			match (a)-[e1]->(b)-[e2]->(c)
+			where a.ID = 0
+			columns (b.ID b, c.ID c))`},
 		{"match_varlen", `select * from graph_table(pg
 			match (a)-[e]->{1,}(b)
 			columns (a.ID F, b.ID T))`},

@@ -145,7 +145,6 @@ func (x *Exec) evalJoinRef(t *TableRef) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	combined := l.rel.Sch.Concat(r.rel.Sch)
 	lCols, rCols, residual, err := equiCols(t.On, l.rel.Sch, r.rel.Sch)
 	if err != nil {
 		return nil, err
@@ -168,21 +167,11 @@ func (x *Exec) evalJoinRef(t *TableRef) (*relation.Relation, error) {
 	if err := x.Eng.ChargeMaterialized(out); err != nil {
 		return nil, err
 	}
-	if residual != nil {
-		if x.Eng.DisableVectorized {
-			pred, err := x.compilePred(residual, combined)
-			if err != nil {
-				return nil, err
-			}
-			return ra.Select(out, pred)
-		}
-		pred, fellBack, err := x.compileVecPred(residual, combined)
-		if err != nil {
-			return nil, err
-		}
-		return x.selectVec(out, pred, fellBack)
+	if residual == nil {
+		return out, nil
 	}
-	return out, nil
+	out, _, err = x.filter(out, residual)
+	return out, err
 }
 
 func (x *Exec) algoFor(allAnalyzed bool) ra.JoinAlgo {
@@ -245,6 +234,114 @@ func andJoin(a, b Expr) Expr {
 	return &Binary{Op: "and", L: a, R: b}
 }
 
+// planFrom is the placement decision for a FROM list with WHERE conjuncts,
+// shared by runOne (which executes it) and explainOne (which renders it).
+// It returns the cyclic core lowered to the multiway join (nil keeps the
+// binary chain) and, per source, the conjunction of the single-source
+// literal comparisons that run as one filter pass on that source before
+// any join (nil: none). Every conjunct it places is marked used; the rest
+// are left for the join keys and the residual filter.
+//
+// A source takes its filters early when it is the chain's first input —
+// the binary fold's probe side, or the first atom of the multiway core,
+// which seeds the anchor — or when it has no cached access structure to
+// lose (an override, a subquery, a JOIN ref). A catalog table on a later
+// build side keeps its filters residual: filtering it would trade the
+// cached CSR or hash index a WITH+ loop reuses for a fresh build every
+// iteration. One source alone has no join to go below.
+func (x *Exec) planFrom(schemas []schema.Schema, tableBacked []bool, conjuncts []Expr, used []bool) (*wcojPlan, []Expr) {
+	var wplan *wcojPlan
+	if !x.Eng.DisableWCOJ {
+		wplan = chooseWCOJ(schemas, conjuncts, used)
+	}
+	if wplan != nil {
+		for _, ci := range wplan.Conjuncts {
+			used[ci] = true
+		}
+	}
+	if len(schemas) < 2 {
+		return wplan, nil
+	}
+	first := 0
+	if wplan != nil {
+		first = wplan.Core[0]
+	}
+	pushed := make([]Expr, len(schemas))
+	for ci, c := range conjuncts {
+		if used[ci] {
+			continue
+		}
+		if s, ok := literalSource(c, schemas); ok && (s == first || !tableBacked[s]) {
+			pushed[s] = andJoin(pushed[s], c)
+			used[ci] = true
+		}
+	}
+	return wplan, pushed
+}
+
+// literalSource reports the one source whose columns a comparison between
+// columns and literals reads. Such a conjunct cannot raise a runtime error
+// (value.Compare is total and NULL yields unknown), so filtering before the
+// join instead of after keeps the output bag and the errors the same. A
+// column that resolves in no source, in several, or ambiguously in one
+// disqualifies the conjunct.
+func literalSource(c Expr, schemas []schema.Schema) (int, bool) {
+	b, ok := c.(*Binary)
+	if !ok {
+		return 0, false
+	}
+	switch b.Op {
+	case "=", "<>", "<", "<=", ">", ">=":
+	default:
+		return 0, false
+	}
+	src := -1
+	for _, operand := range []Expr{b.L, b.R} {
+		switch o := operand.(type) {
+		case *Lit:
+		case *ColRef:
+			at := -1
+			for i, sch := range schemas {
+				if _, err := sch.Resolve(o.Table, o.Name); err == nil {
+					if at >= 0 {
+						return 0, false
+					}
+					at = i
+				} else if _, amb := err.(*schema.ErrAmbiguous); amb {
+					return 0, false
+				}
+			}
+			if at < 0 || (src >= 0 && at != src) {
+				return 0, false
+			}
+			src = at
+		default:
+			return 0, false
+		}
+	}
+	return src, src >= 0
+}
+
+// filter applies pred to rel on the engine's configured path (vectorized
+// unless DisableVectorized) and returns the plan label for the pass.
+func (x *Exec) filter(rel *relation.Relation, pred Expr) (*relation.Relation, string, error) {
+	label := "filter " + ExprString(pred)
+	if x.Eng.DisableVectorized {
+		p, err := x.compilePred(pred, rel.Sch)
+		if err != nil {
+			return nil, "", err
+		}
+		out, err := ra.Select(rel, p)
+		return out, label, err
+	}
+	p, fellBack, err := x.compileVecPred(pred, rel.Sch)
+	if err != nil {
+		return nil, "", err
+	}
+	out, err := x.selectVec(rel, p, fellBack)
+	return out, label + vecPathNote(fellBack), err
+}
+
 func (x *Exec) runOne(s *SelectStmt) (*relation.Relation, *obs.PlanNode, error) {
 	// Resolve FROM (no FROM = one empty tuple, for "select 1+1").
 	var input *relation.Relation
@@ -282,22 +379,39 @@ func (x *Exec) runOne(s *SelectStmt) (*relation.Relation, *obs.PlanNode, error) 
 			conjuncts = splitAnd(s.Where)
 		}
 		used := make([]bool, len(conjuncts))
+		schemas := make([]schema.Schema, len(srcs))
+		tableBacked := make([]bool, len(srcs))
+		for i := range srcs {
+			schemas[i] = srcs[i].rel.Sch
+			tableBacked[i] = srcs[i].table != ""
+		}
 		// A cyclic equi-join core lowers to the worst-case-optimal multiway
 		// join; the remaining (tail) sources fold onto its result through
-		// the ordinary binary loop below.
-		var wplan *wcojPlan
-		if !x.Eng.DisableWCOJ {
-			schemas := make([]schema.Schema, len(srcs))
-			for i := range srcs {
-				schemas[i] = srcs[i].rel.Sch
+		// the ordinary binary loop below. Pushed filters run on their source
+		// before either.
+		wplan, pushed := x.planFrom(schemas, tableBacked, conjuncts, used)
+		for i, pred := range pushed {
+			if pred == nil {
+				continue
 			}
-			wplan = chooseWCOJ(schemas, conjuncts, used)
+			var t0 time.Time
+			if x.analyze {
+				t0 = time.Now()
+			}
+			rel, label, err := x.filter(srcs[i].rel, pred)
+			if err != nil {
+				return nil, nil, err
+			}
+			// The filtered rows are no longer the catalog table's, so no
+			// cached access structure may serve them; the analyzed flag (the
+			// profile's join-algorithm input) stays.
+			srcs[i].rel, srcs[i].table = rel, ""
+			if x.analyze {
+				scans[i] = obs.NewPlanNode(label, int64(rel.Len()), time.Since(t0), scans[i])
+			}
 		}
 		var remaining []int
 		if wplan != nil {
-			for _, ci := range wplan.Conjuncts {
-				used[ci] = true
-			}
 			var t0 time.Time
 			observing := x.Eng.Observing()
 			if x.analyze || observing {
@@ -467,28 +581,10 @@ func (x *Exec) runOne(s *SelectStmt) (*relation.Relation, *obs.PlanNode, error) 
 			if x.analyze {
 				t0 = time.Now()
 			}
-			label := "filter " + ExprString(residual)
-			if x.Eng.DisableVectorized {
-				pred, err := x.compilePred(residual, input.Sch)
-				if err != nil {
-					return nil, nil, err
-				}
-				var serr error
-				input, serr = ra.Select(input, pred)
-				if serr != nil {
-					return nil, nil, serr
-				}
-			} else {
-				pred, fellBack, err := x.compileVecPred(residual, input.Sch)
-				if err != nil {
-					return nil, nil, err
-				}
-				var serr error
-				input, serr = x.selectVec(input, pred, fellBack)
-				if serr != nil {
-					return nil, nil, serr
-				}
-				label += vecPathNote(fellBack)
+			var label string
+			var err error
+			if input, label, err = x.filter(input, residual); err != nil {
+				return nil, nil, err
 			}
 			if x.analyze {
 				plan = obs.NewPlanNode(label, int64(input.Len()), time.Since(t0), plan)

@@ -132,48 +132,52 @@ func (x *Exec) explainOne(b *strings.Builder, s *SelectStmt, depth int) error {
 		line("values (one row)")
 		return nil
 	}
-	allAnalyzed := true
-	type src struct {
-		desc     string
-		analyzed bool
-	}
-	srcs := make([]src, len(s.From))
-	for i, f := range s.From {
-		d, analyzed, err := x.describeRef(f, depth+1)
-		if err != nil {
-			return err
-		}
-		srcs[i] = src{desc: d, analyzed: analyzed}
-		allAnalyzed = allAnalyzed && analyzed
-	}
 	var conjuncts []Expr
 	if s.Where != nil {
 		conjuncts = splitAnd(s.Where)
 	}
-	if len(srcs) == 1 {
+	// Which conjuncts run as pushed filters, drive the multiway or binary
+	// joins, or stay residual: runOne's own placement. Resolvable schemas
+	// are required, so it runs only when every FROM item is a plain named
+	// reference; otherwise every conjunct renders as a join key or residual.
+	used := make([]bool, len(conjuncts))
+	var wp *wcojPlan
+	var pushed []Expr
+	if schemas, tableBacked, ok := x.planSchemas(s.From); ok {
+		wp, pushed = x.planFrom(schemas, tableBacked, conjuncts, used)
+	}
+	allAnalyzed := true
+	descs := make([]string, len(s.From))
+	for i, f := range s.From {
+		var pre string
+		d := depth + 1
+		if pushed != nil && pushed[i] != nil {
+			// A pushed filter sits directly above its scan.
+			var fb strings.Builder
+			indent(&fb, d)
+			fmt.Fprintf(&fb, "filter %s\n", ExprString(pushed[i]))
+			pre, d = fb.String(), d+1
+		}
+		desc, analyzed, err := x.describeRef(f, d)
+		if err != nil {
+			return err
+		}
+		descs[i] = pre + desc
+		allAnalyzed = allAnalyzed && analyzed
+	}
+	if len(descs) == 1 {
 		if s.Where != nil {
 			line("filter %s", ExprString(s.Where))
 		}
-		b.WriteString(srcs[0].desc)
+		b.WriteString(descs[0])
 		return nil
 	}
-	// Which conjuncts would drive equi-joins vs become residual filters.
-	used := make([]bool, len(conjuncts))
-	joinSteps := len(srcs) - 1
-	// Mirror runOne's WCOJ lowering: a cyclic core collapses into one
-	// multiway join line, leaving only the tail sources as binary steps.
-	// Resolvable schemas are required, so the chooser runs only when every
-	// FROM item is a plain named reference.
-	if !x.Eng.DisableWCOJ {
-		if schemas, ok := x.planSchemas(s.From); ok {
-			if wp := chooseWCOJ(schemas, conjuncts, used); wp != nil {
-				for _, ci := range wp.Conjuncts {
-					used[ci] = true
-				}
-				line("multiway generic join on %s via wcoj", strings.Join(wp.Keys, " and "))
-				joinSteps = len(srcs) - len(wp.Core)
-			}
-		}
+	joinSteps := len(descs) - 1
+	// A cyclic core collapses into one multiway join line, leaving only the
+	// tail sources as binary steps.
+	if wp != nil {
+		line("multiway generic join on %s via wcoj", strings.Join(wp.Keys, " and "))
+		joinSteps = len(descs) - len(wp.Core)
 	}
 	for i := 0; i < joinSteps; i++ {
 		var keys []string
@@ -206,8 +210,8 @@ func (x *Exec) explainOne(b *strings.Builder, s *SelectStmt, depth int) error {
 	if len(residual) > 0 {
 		line("filter %s", strings.Join(residual, " and "))
 	}
-	for _, sc := range srcs {
-		b.WriteString(sc.desc)
+	for _, d := range descs {
+		b.WriteString(d)
 	}
 	return nil
 }

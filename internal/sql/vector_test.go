@@ -231,6 +231,16 @@ func vecTestDB(t *testing.T, prof engine.Profile, disable bool) *Exec {
 	if _, err := e.LoadBase("T", fuzzRelation(7)); err != nil {
 		t.Fatal(err)
 	}
+	// E is a small dense digraph for the anchored join statements, whose
+	// literal predicates are filtered on the anchor's edge scan first.
+	rng := rand.New(rand.NewSource(5))
+	eRel := relation.New(schema.Cols(value.KindInt, "F", "T"))
+	for i := 0; i < 80; i++ {
+		eRel.AppendVals(value.Int(rng.Int63n(12)), value.Int(rng.Int63n(12)))
+	}
+	if _, err := e.LoadBase("E", eRel); err != nil {
+		t.Fatal(err)
+	}
 	return NewExec(e)
 }
 
@@ -253,6 +263,8 @@ func TestVecRowStatementParity(t *testing.T) {
 		{q: "select abs(b) as ab from T", fallback: true},
 		{q: "select count(*) as n from T"},
 		{q: "select sum(a + b) as s from T where not (f < 0.0 or a = b)"},
+		{q: "select e1.F, e2.F, e2.T from E e1, E e2 where e1.T = e2.F and e1.F = 3"},
+		{q: "select e2.F, e3.F from E e1, E e2, E e3 where e1.T = e2.F and e2.T = e3.F and e3.T = e1.F and e1.F = 3"},
 	}
 	for _, prof := range engine.Profiles() {
 		for _, tc := range queries {

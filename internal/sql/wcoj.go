@@ -318,27 +318,30 @@ func chooseWCOJ(schemas []schema.Schema, conjuncts []Expr, used []bool) *wcojPla
 	return plan
 }
 
-// planSchemas returns the qualified schemas of the FROM items when every
-// item is a plain named reference (catalog table or override) — the only
-// shapes the no-execution EXPLAIN path can resolve without running
-// subqueries. ok=false keeps the binary-only description.
-func (x *Exec) planSchemas(from []*TableRef) ([]schema.Schema, bool) {
-	out := make([]schema.Schema, len(from))
+// planSchemas returns the qualified schemas of the FROM items, and which
+// are catalog tables, when every item is a plain named reference (catalog
+// table or override) — the only shapes the no-execution EXPLAIN path can
+// resolve without running subqueries. ok=false keeps the binary-only
+// description.
+func (x *Exec) planSchemas(from []*TableRef) (schemas []schema.Schema, tableBacked []bool, ok bool) {
+	schemas = make([]schema.Schema, len(from))
+	tableBacked = make([]bool, len(from))
 	for i, t := range from {
 		if t.IsJoin() || t.Sub != nil || t.GraphTable != nil {
-			return nil, false
+			return nil, nil, false
 		}
 		if r, ok := x.Override[t.Name]; ok {
-			out[i] = r.Sch.Qualify(t.DisplayName())
+			schemas[i] = r.Sch.Qualify(t.DisplayName())
 			continue
 		}
 		tab, err := x.Eng.Cat.Get(t.Name)
 		if err != nil {
-			return nil, false
+			return nil, nil, false
 		}
-		out[i] = tab.Sch.Qualify(t.DisplayName())
+		schemas[i] = tab.Sch.Qualify(t.DisplayName())
+		tableBacked[i] = true
 	}
-	return out, true
+	return schemas, tableBacked, true
 }
 
 // restoreFromOrder permutes the joined relation's columns from the actual

@@ -57,7 +57,7 @@ echo "== server protocol fuzz smoke"
 go test ./internal/server -run=NONE -fuzz FuzzServerProto -fuzztime 5s
 
 echo "== match smoke (MATCH differential + explain goldens + parser fuzz)"
-go test ./graphsql -run 'MatchDifferential|MatchExplainAnalyze|GraphHandleMatch' -count=1
+go test ./graphsql -run 'MatchDifferential|MatchAnchoredPushdown|MatchExplainAnalyze|GraphHandleMatch' -count=1
 go test ./internal/sql -run=NONE -fuzz FuzzMatchParser -fuzztime 5s
 
 echo "== chaos gate (fault sweep, recovery, cancellation, fuzz smoke)"
